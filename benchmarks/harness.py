@@ -1,18 +1,13 @@
 """Reproducible performance harness — the numbers behind ``repro bench``.
 
-Six pinned-seed suites, emitted as one schema-versioned JSON document
-(``repro-bench/v5``) that every future PR appends a sibling of:
+Five pinned-seed suites, emitted as one schema-versioned JSON document
+(``repro-bench/v6``) that every future PR appends a sibling of:
 
-* **sequential_vs_parallel** — per-query TkNN latency of ``MBI.search``
-  run sequentially and fanned out across ``QueryExecutor`` pools of
-  several widths, with a bit-identity check against the sequential
-  answers (the determinism guarantee, measured as well as tested);
-* **qps** — closed-batch throughput of the batched block-by-block
-  ``search_batch`` path versus sequential MBI and the SF/BSBF baselines,
-  all answering the same pinned workload.  Every row reports its
-  ``recall_at_k`` against the exact in-window oracle and its mean
-  distance evaluations per query, so a throughput gain that silently
-  trades away accuracy is visible in the same table;
+* **qps** — closed-batch throughput of MBI's ``search_batch`` versus the
+  BSBF baseline, both answering the same pinned workload.  Every row
+  reports its ``recall_at_k`` against the exact in-window oracle and its
+  mean distance evaluations per query, so a throughput gain that
+  silently trades away accuracy is visible in the same table;
 * **graph_kernels** — the raw Algorithm 2 engines head-to-head on one
   built graph of the same workload shape: the legacy node-at-a-time
   ``greedy_graph_search`` versus the vectorized beam engine at several
@@ -73,11 +68,7 @@ from pathlib import Path
 
 import numpy as np
 
-SCHEMA = "repro-bench/v5"
-
-#: Pool widths exercised by the sequential-vs-parallel suite (0 means
-#: sequential; widths beyond the CPU count measure oversubscription).
-DEFAULT_WORKER_SWEEP = (0, 1, 2, 4)
+SCHEMA = "repro-bench/v6"
 
 #: Beam widths exercised by the graph_kernels suite.
 DEFAULT_BEAM_SWEEP = (8, 16, 32)
@@ -98,7 +89,7 @@ class HarnessProfile:
             wall-clock microbenchmarks).
         window_fraction: Centered window length as a fraction of the
             timeline; 0.5 straddles the root split so the selection walk
-            produces a multi-block search set worth parallelising.
+            produces a multi-block search set.
         shard_counts: Shard counts the sharding suite measures; must
             start at 1 (the reference every other count is gated
             against).
@@ -133,9 +124,7 @@ FULL = HarnessProfile()
 def build_workload(profile: HarnessProfile, seed: int):
     """Build the pinned index + query set the suites share.
 
-    Returns ``(index, queries, (t_start, t_end))``.  The index is built
-    with ``query_parallel=False`` — the harness opts into parallelism
-    explicitly per measurement via ``executor=``.
+    Returns ``(index, queries, (t_start, t_end))``.
     """
     from repro import MBIConfig, MultiLevelBlockIndex
     from repro.core.config import SearchParams
@@ -175,86 +164,11 @@ def _percentile(values: list[float], q: float) -> float:
     return float(np.percentile(np.asarray(values), q))
 
 
-def _time_queries(search_one, queries, repeats: int):
-    """Best-of-``repeats`` per-query latencies; returns (latencies, results).
-
-    Results come from the first pass so identity checks are independent
-    of which repetition was fastest.
-    """
-    results = []
-    best = [float("inf")] * len(queries)
-    for rep in range(repeats):
-        for i, query in enumerate(queries):
-            started = time.perf_counter()
-            result = search_one(i, query)
-            elapsed = time.perf_counter() - started
-            best[i] = min(best[i], elapsed)
-            if rep == 0:
-                results.append(result)
-    return best, results
-
-
 def _identical(a, b) -> bool:
     return bool(
         np.array_equal(a.positions, b.positions)
         and np.array_equal(a.distances, b.distances)
     )
-
-
-def run_sequential_vs_parallel(
-    index, queries, window, profile: HarnessProfile, seed: int, workers
-) -> dict:
-    """Per-query latency, sequential vs executor fan-out, bit-identity checked."""
-    from repro import QueryExecutor
-
-    t_start, t_end = window
-    rows = []
-    baseline_results = None
-    for n_workers in workers:
-        pool = QueryExecutor(n_workers) if n_workers else None
-        try:
-            # Per-query seeds pinned independently of the mode, so every
-            # configuration answers the exact same randomised workload.
-            seeds = np.random.default_rng(seed).integers(
-                0, 2**63 - 1, size=len(queries)
-            )
-
-            def search_one(i, query):
-                return index.search(
-                    query,
-                    profile.k,
-                    t_start,
-                    t_end,
-                    rng=np.random.default_rng(int(seeds[i])),
-                    executor=pool,
-                )
-
-            latencies, results = _time_queries(
-                search_one, queries, profile.repeats
-            )
-        finally:
-            if pool is not None:
-                pool.shutdown()
-        if baseline_results is None:
-            baseline_results = results
-            identical = True
-        else:
-            identical = all(
-                _identical(a, b) for a, b in zip(baseline_results, results)
-            )
-        mean = statistics.fmean(latencies)
-        rows.append(
-            {
-                "mode": "sequential" if n_workers == 0 else "parallel",
-                "workers": int(n_workers),
-                "mean_ms": mean * 1e3,
-                "p50_ms": _percentile(latencies, 50) * 1e3,
-                "p95_ms": _percentile(latencies, 95) * 1e3,
-                "qps": (1.0 / mean) if mean > 0 else float("inf"),
-                "identical_to_sequential": identical,
-            }
-        )
-    return {"rows": rows}
 
 
 def exact_window_topk(
@@ -281,15 +195,15 @@ def _recall(result_positions, exact: set[int], k: int) -> float:
 
 
 def run_qps_suite(
-    index, queries, window, profile: HarnessProfile, seed: int, n_workers: int
+    index, queries, window, profile: HarnessProfile, seed: int
 ) -> dict:
-    """Batch throughput: MBI sequential / batched-parallel vs BSBF (and SF).
+    """Batch throughput: MBI ``search_batch`` vs BSBF.
 
     Every row carries ``recall_at_k`` against the exact in-window oracle
     and the mean distance evaluations per query, measured on the first
     (timed) pass.
     """
-    from repro import BSBFIndex, QueryExecutor
+    from repro import BSBFIndex
     from repro.storage.timeline import TimeWindow
 
     t_start, t_end = window
@@ -340,34 +254,12 @@ def run_qps_suite(
             rng=np.random.default_rng(seed),
         ),
     )
-    pool = QueryExecutor(n_workers)
-    try:
-        measure(
-            "mbi-parallel-batched",
-            lambda: index.search_batch(
-                queries,
-                profile.k,
-                t_start,
-                t_end,
-                rng=np.random.default_rng(seed),
-                executor=pool,
-            ),
-        )
-
-        bsbf = BSBFIndex(index.dim, index.metric)
-        bsbf.extend(vectors, timestamps)
-        measure(
-            "bsbf",
-            lambda: bsbf.search_batch(queries, profile.k, t_start, t_end),
-        )
-        measure(
-            "bsbf-parallel",
-            lambda: bsbf.search_batch(
-                queries, profile.k, t_start, t_end, executor=pool
-            ),
-        )
-    finally:
-        pool.shutdown()
+    bsbf = BSBFIndex(index.dim, index.metric)
+    bsbf.extend(vectors, timestamps)
+    measure(
+        "bsbf",
+        lambda: bsbf.search_batch(queries, profile.k, t_start, t_end),
+    )
     return {"rows": rows}
 
 
@@ -638,9 +530,7 @@ def run_tiering_suite(index, queries, profile: HarnessProfile, seed: int) -> dic
     }
 
 
-def run_cold_codes_suite(
-    profile: HarnessProfile, seed: int, n_workers: int
-) -> dict:
+def run_cold_codes_suite(profile: HarnessProfile, seed: int) -> dict:
     """Compressed cold-tier search vs promote-on-miss on a backfill mix.
 
     Builds twin indices over the pinned workload — one with
@@ -655,15 +545,10 @@ def run_cold_codes_suite(
     re-demotes block after block, which is exactly the churn the code
     sidecars exist to avoid.
 
-    Both twins answer through the batched block-by-block executor path
-    (the serving layer's fast path): a compressed block then serves all
-    queries of a batch with one multi-query LUT-sum scan
-    (``adc_scan_batch``) instead of a table build per query.
-
     Self-contained (its own indices), so it is independent of the
     suite order in :func:`run_harness`.
     """
-    from repro import MBIConfig, MultiLevelBlockIndex, QueryExecutor
+    from repro import MBIConfig, MultiLevelBlockIndex
     from repro.core.config import SearchParams
     from repro.graph.builder import GraphConfig
     from repro.observability.metrics import get_registry
@@ -754,25 +639,20 @@ def run_cold_codes_suite(
         rerank_before = rerank_rows.value
         best = float("inf")
         first_pass = None
-        pool = QueryExecutor(n_workers)
-        try:
-            for _ in range(profile.repeats):
-                started = time.perf_counter()
-                batch = [
-                    (name, index.search_batch(
-                        queries,
-                        profile.k,
-                        *windows[name],
-                        rng=np.random.default_rng(seed),
-                        executor=pool,
-                    ))
-                    for name in mix
-                ]
-                best = min(best, time.perf_counter() - started)
-                if first_pass is None:
-                    first_pass = batch
-        finally:
-            pool.shutdown()
+        for _ in range(profile.repeats):
+            started = time.perf_counter()
+            batch = [
+                (name, index.search_batch(
+                    queries,
+                    profile.k,
+                    *windows[name],
+                    rng=np.random.default_rng(seed),
+                ))
+                for name in mix
+            ]
+            best = min(best, time.perf_counter() - started)
+            if first_pass is None:
+                first_pass = batch
         n_answers = len(queries) * len(mix)
         recall = statistics.fmean(
             _recall(result.positions, exact, profile.k)
@@ -1007,39 +887,19 @@ def run_sharding_suite(profile: HarnessProfile, seed: int) -> dict:
     }
 
 
-def run_harness(
-    seed: int = 0,
-    smoke: bool = False,
-    workers: int | None = None,
-    worker_sweep=None,
-    beam_sweep=None,
-) -> dict:
-    """Run both suites; returns the schema-versioned payload (not written)."""
+def run_harness(seed: int = 0, smoke: bool = False, beam_sweep=None) -> dict:
+    """Run every suite; returns the schema-versioned payload (not written)."""
     profile = SMOKE if smoke else FULL
-    if workers is None:
-        workers = max(2, min(8, os.cpu_count() or 2))
-    if worker_sweep is None:
-        worker_sweep = [
-            w for w in DEFAULT_WORKER_SWEEP if w <= max(workers, 1)
-        ]
-        if workers not in worker_sweep:
-            worker_sweep.append(workers)
-        # Oversubscription point: measure past the CPU count on purpose.
-        worker_sweep.append(2 * workers)
-
     if beam_sweep is None:
         beam_sweep = DEFAULT_BEAM_SWEEP
 
     index, queries, window = build_workload(profile, seed)
-    sequential_vs_parallel = run_sequential_vs_parallel(
-        index, queries, window, profile, seed, worker_sweep
-    )
-    qps = run_qps_suite(index, queries, window, profile, seed, workers)
+    qps = run_qps_suite(index, queries, window, profile, seed)
     graph_kernels = run_graph_kernels_suite(
         index, queries, profile, seed, beam_sweep
     )
     sharding = run_sharding_suite(profile, seed)
-    cold_codes = run_cold_codes_suite(profile, seed, workers)
+    cold_codes = run_cold_codes_suite(profile, seed)
     # Last on purpose: enabling tiering on the shared index is one-way.
     tiering = run_tiering_suite(index, queries, profile, seed)
 
@@ -1064,7 +924,6 @@ def run_harness(
             "window_fraction": profile.window_fraction,
         },
         "suites": {
-            "sequential_vs_parallel": sequential_vs_parallel,
             "qps": qps,
             "graph_kernels": graph_kernels,
             "sharding": sharding,
@@ -1080,13 +939,12 @@ def run_harness(
 
 
 def validate_bench(payload: dict) -> None:
-    """Raise ``ValueError`` unless ``payload`` is a valid repro-bench/v5 doc.
+    """Raise ``ValueError`` unless ``payload`` is a valid repro-bench/v6 doc.
 
     This is the schema gate the CI smoke job runs: it checks document
-    structure, row fields/types, and the semantic invariants — the
-    sequential-vs-parallel suite must contain a sequential baseline plus
-    at least one parallel row, every parallel row must report
-    bit-identical results, every qps / graph_kernels / tiering row must
+    structure, row fields/types, and the semantic invariants — the qps
+    suite must measure ``mbi-sequential``, every qps / graph_kernels /
+    tiering row must
     carry a recall in ``[0, 1]`` and a non-negative distance-evaluation
     count, the graph_kernels suite must pit the legacy greedy engine
     against at least one beam width, the tiering suite must show
@@ -1113,39 +971,6 @@ def validate_bench(payload: dict) -> None:
     suites = payload["suites"]
     if not isinstance(suites, dict) or not suites:
         fail("suites must be a non-empty object")
-
-    svp = suites.get("sequential_vs_parallel")
-    if not isinstance(svp, dict) or not svp.get("rows"):
-        fail("missing sequential_vs_parallel rows")
-    modes = set()
-    for row in svp["rows"]:
-        for field_name, kind in (
-            ("mode", str),
-            ("workers", int),
-            ("mean_ms", (int, float)),
-            ("p50_ms", (int, float)),
-            ("p95_ms", (int, float)),
-            ("qps", (int, float)),
-            ("identical_to_sequential", bool),
-        ):
-            if not isinstance(row.get(field_name), kind):
-                fail(
-                    f"sequential_vs_parallel row field {field_name!r} "
-                    f"missing or mistyped: {row!r}"
-                )
-        if row["mean_ms"] < 0 or row["qps"] < 0:
-            fail(f"negative measurement in row {row!r}")
-        modes.add(row["mode"])
-        if not row["identical_to_sequential"]:
-            fail(
-                f"parallel results diverged from sequential in row {row!r} "
-                "(determinism guarantee violated)"
-            )
-    if "sequential" not in modes or "parallel" not in modes:
-        fail(
-            "sequential_vs_parallel must measure both a sequential "
-            f"baseline and at least one parallel pool, got modes {modes}"
-        )
 
     def check_throughput_rows(suite_name: str, suite) -> set:
         if not isinstance(suite, dict) or not suite.get("rows"):
@@ -1175,11 +1000,8 @@ def validate_bench(payload: dict) -> None:
         return methods
 
     methods = check_throughput_rows("qps", suites.get("qps"))
-    if not {"mbi-sequential", "mbi-parallel-batched"} <= methods:
-        fail(
-            "qps suite must measure mbi-sequential and mbi-parallel-batched, "
-            f"got {methods}"
-        )
+    if "mbi-sequential" not in methods:
+        fail(f"qps suite must measure mbi-sequential, got {methods}")
 
     kernel_methods = check_throughput_rows(
         "graph_kernels", suites.get("graph_kernels")
@@ -1362,18 +1184,7 @@ def render_bench(payload: dict) -> str:
         f"{payload['workload']['n_queries']} queries, "
         f"k={payload['workload']['k']}",
         "",
-        "sequential vs parallel (per-query search latency):",
-        f"  {'mode':<12} {'workers':>7} {'mean ms':>9} {'p50 ms':>9} "
-        f"{'p95 ms':>9} {'qps':>9}  identical",
     ]
-    for row in payload["suites"]["sequential_vs_parallel"]["rows"]:
-        lines.append(
-            f"  {row['mode']:<12} {row['workers']:>7} "
-            f"{row['mean_ms']:>9.3f} {row['p50_ms']:>9.3f} "
-            f"{row['p95_ms']:>9.3f} {row['qps']:>9.0f}  "
-            f"{'yes' if row['identical_to_sequential'] else 'NO'}"
-        )
-    lines.append("")
     lines.append("qps (shared-window batch throughput):")
     lines.append(
         f"  {'method':<22} {'qps':>9} {'mean ms':>9} {'recall@k':>9} "
@@ -1487,12 +1298,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
-    payload = run_harness(
-        seed=args.seed, smoke=args.smoke, workers=args.workers
-    )
+    payload = run_harness(seed=args.seed, smoke=args.smoke)
     out = Path(args.out) if args.out else default_output_path()
     write_bench(payload, out)
     print(render_bench(payload))

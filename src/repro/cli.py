@@ -200,14 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default per-request deadline in seconds",
     )
     serve.add_argument(
-        "--search-workers",
-        type=int,
-        default=None,
-        help="size of the service's private query executor (per-block "
-        "fan-out and batched kernels; default: no pool, sequential — "
-        "see docs/performance.md)",
-    )
-    serve.add_argument(
         "--shards",
         type=int,
         default=0,
@@ -313,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser(
         "bench",
-        help="run the reproducible perf harness (sequential-vs-parallel "
-        "and QPS suites) and write a schema-versioned BENCH_<date>.json",
+        help="run the reproducible perf harness (QPS, graph-kernel, "
+        "tiering, cold-code and sharding suites) and write a "
+        "schema-versioned BENCH_<date>.json",
     )
     bench.add_argument(
         "--smoke",
@@ -323,12 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--seed", type=int, default=0, help="workload seed (pinned)"
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="pool width for the parallel measurements (default: CPU-sized)",
     )
     bench.add_argument(
         "--out",
@@ -674,8 +661,6 @@ def _service_config(args: argparse.Namespace):
         extras["max_batch"] = args.max_batch
     if getattr(args, "timeout", None) is not None:
         extras["default_timeout"] = args.timeout
-    if getattr(args, "search_workers", None) is not None:
-        extras["search_workers"] = args.search_workers
     if getattr(args, "memory_budget_mb", None) is not None:
         extras["memory_budget_mb"] = args.memory_budget_mb
     if getattr(args, "compact_interval", None) is not None:
@@ -1130,9 +1115,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    payload = harness.run_harness(
-        seed=args.seed, smoke=args.smoke, workers=args.workers
-    )
+    payload = harness.run_harness(seed=args.seed, smoke=args.smoke)
     out = args.out if args.out else harness.default_output_path()
     path = harness.write_bench(payload, out)
     print(harness.render_bench(payload))

@@ -215,11 +215,8 @@ def _config_from_dict(payload: dict) -> MBIConfig:
         search=SearchParams(**payload["search"]),
         parallel=payload["parallel"],
         max_workers=payload["max_workers"],
-        # Absent in snapshots written before the parallel query engine:
-        # default to sequential queries rather than failing the load.
-        query_parallel=payload.get("query_parallel", False),
-        query_workers=payload.get("query_workers"),
-        parallel_min_blocks=payload.get("parallel_min_blocks", 2),
+        # Older snapshots may also carry query_parallel, query_workers and
+        # parallel_min_blocks (a removed query thread pool); they are ignored.
         # Absent in pre-tiering snapshots (and ignored by pre-tiering
         # readers, which pick header keys explicitly) — no version bump.
         tiering=TieringConfig(**payload.get("tiering", {})),

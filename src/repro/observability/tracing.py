@@ -312,7 +312,6 @@ def trace_to_wire(trace: QueryTrace) -> dict[str, object]:
             }
         ),
         "seconds": trace.seconds,
-        "parallel": trace.parallel,
     }
 
 
@@ -335,7 +334,6 @@ def trace_from_wire(payload: Mapping[str, object]) -> QueryTrace:
             float(d) for d in payload.get("result_distances", ())
         ),
         seconds=float(payload.get("seconds", 0.0)),
-        parallel=bool(payload.get("parallel", False)),
     )
     for e in payload.get("selection", ()):
         trace.selection.append(

@@ -392,10 +392,10 @@ class TierManager:
     def note_selection(self, blocks: Iterable["Block"]) -> None:
         """Pin the blocks a query window selected; prefetch cold ones.
 
-        Called by block selection before fan-out: pinned blocks survive
-        eviction while the query is in flight, and (with
-        ``prefetch_selected``) cold selected blocks are promoted up
-        front so parallel fan-out never stalls mid-search.  Blocks the
+        Called after block selection, before the per-block searches:
+        pinned blocks survive eviction while the query is in flight, and
+        (with ``prefetch_selected``) cold selected blocks are promoted up
+        front rather than mid-search.  Blocks the
         query can answer compressed (``cold_codes`` on, sidecar present,
         span above ``cold_adc_threshold``) are *not* prefetched —
         promoting them would defeat the ADC path.

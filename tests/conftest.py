@@ -98,3 +98,42 @@ def small_index(clustered_data) -> MultiLevelBlockIndex:
     )
     index.extend(vectors, timestamps)
     return index
+
+
+#: Search settings for :func:`tiered_twins`: spans above 4 vectors walk
+#: block graphs (so cold blocks get promoted) and, with ``cold_codes`` on,
+#: answer ADC-first from their code sidecars.
+TIERED_SEARCH = SearchParams(
+    epsilon=1.2,
+    max_candidates=64,
+    brute_force_threshold=4,
+    cold_adc_threshold=4,
+    cold_rerank_factor=16,
+)
+
+
+def tiered_twins(
+    vectors, timestamps, directory, leaf_size: int = 100
+) -> dict[str, MultiLevelBlockIndex]:
+    """Two tiered indexes over the same data, both under a tight budget.
+
+    ``"tiered"`` promotes every cold block it touches; ``"cold-codes"``
+    answers wide cold spans from PQ code sidecars instead.  The budget is
+    re-pinned with ``reconfigure`` so an ambient ``REPRO_MEMORY_BUDGET_MB``
+    (which enables tiering at construction, first config wins) cannot
+    loosen it.
+    """
+    twins = {}
+    for name, cold_codes in (("tiered", False), ("cold-codes", True)):
+        config = small_mbi_config(
+            leaf_size=leaf_size, search=TIERED_SEARCH, cold_codes=cold_codes
+        )
+        index = MultiLevelBlockIndex(vectors.shape[1], "euclidean", config)
+        index.extend(vectors, timestamps)
+        manager = index.enable_tiering(
+            memory_budget_mb=1e-4, directory=directory / name
+        )
+        manager.reconfigure(memory_budget_mb=1e-4)
+        assert manager.stats()["cold_blocks"] > 0
+        twins[name] = index
+    return twins

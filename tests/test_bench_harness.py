@@ -32,7 +32,7 @@ from benchmarks.harness import (  # noqa: E402
 @pytest.fixture(scope="module")
 def payload():
     """One smoke-profile harness run shared by every test in the module."""
-    return run_harness(seed=0, smoke=True, workers=2, worker_sweep=[0, 2])
+    return run_harness(seed=0, smoke=True)
 
 
 class TestHarnessRun:
@@ -46,22 +46,9 @@ class TestHarnessRun:
         assert payload["host"]["cpu_count"] >= 1
         assert payload["workload"]["n_items"] > 0
 
-    def test_worker_sweep_rows_are_labelled(self, payload):
-        rows = payload["suites"]["sequential_vs_parallel"]["rows"]
-        by_mode = {}
-        for row in rows:
-            by_mode.setdefault(row["mode"], []).append(row)
-        assert len(by_mode["sequential"]) == 1
-        assert by_mode["sequential"][0]["workers"] == 0
-        assert all(r["workers"] >= 1 for r in by_mode["parallel"])
-
-    def test_every_parallel_row_is_bit_identical(self, payload):
-        rows = payload["suites"]["sequential_vs_parallel"]["rows"]
-        assert all(r["identical_to_sequential"] for r in rows)
-
     def test_qps_suite_covers_required_methods(self, payload):
         methods = {r["method"] for r in payload["suites"]["qps"]["rows"]}
-        assert {"mbi-sequential", "mbi-parallel-batched", "bsbf"} <= methods
+        assert {"mbi-sequential", "bsbf"} <= methods
 
     def test_qps_rows_carry_recall_and_evals(self, payload):
         rows = payload["suites"]["qps"]["rows"]
@@ -153,7 +140,6 @@ class TestHarnessRun:
 
     def test_render_mentions_all_suites(self, payload):
         out = render_bench(payload)
-        assert "sequential vs parallel" in out
         assert "qps" in out
         assert "graph kernels" in out
         assert "sharding" in out
@@ -165,12 +151,16 @@ class TestHarnessRun:
         assert "hit rate" in out
 
     def test_determinism_across_runs(self, payload):
-        """Same seed, same workload -> same result identity verdicts."""
-        again = run_harness(seed=0, smoke=True, workers=2, worker_sweep=[0, 2])
-        rows_a = payload["suites"]["sequential_vs_parallel"]["rows"]
-        rows_b = again["suites"]["sequential_vs_parallel"]["rows"]
-        assert [r["mode"] for r in rows_a] == [r["mode"] for r in rows_b]
-        assert [r["workers"] for r in rows_a] == [r["workers"] for r in rows_b]
+        """Same seed, same workload -> same answers, so same qps columns."""
+        again = run_harness(seed=0, smoke=True)
+
+        def answers(doc):
+            return [
+                (r["method"], r["recall_at_k"], r["dist_evals_per_query"])
+                for r in doc["suites"]["qps"]["rows"]
+            ]
+
+        assert answers(payload) == answers(again)
 
 
 class TestValidateBench:
@@ -198,26 +188,8 @@ class TestValidateBench:
 
     def test_rejects_mistyped_row_field(self, payload):
         bad = copy.deepcopy(payload)
-        bad["suites"]["sequential_vs_parallel"]["rows"][0]["mean_ms"] = "fast"
+        bad["suites"]["qps"]["rows"][0]["mean_ms"] = "fast"
         with pytest.raises(ValueError, match="mistyped"):
-            validate_bench(bad)
-
-    def test_rejects_determinism_violation(self, payload):
-        bad = copy.deepcopy(payload)
-        for row in bad["suites"]["sequential_vs_parallel"]["rows"]:
-            if row["mode"] == "parallel":
-                row["identical_to_sequential"] = False
-                break
-        with pytest.raises(ValueError, match="determinism guarantee"):
-            validate_bench(bad)
-
-    def test_rejects_missing_parallel_mode(self, payload):
-        bad = copy.deepcopy(payload)
-        rows = bad["suites"]["sequential_vs_parallel"]["rows"]
-        bad["suites"]["sequential_vs_parallel"]["rows"] = [
-            r for r in rows if r["mode"] == "sequential"
-        ]
-        with pytest.raises(ValueError, match="both a sequential baseline"):
             validate_bench(bad)
 
     def test_rejects_missing_qps_method(self, payload):
@@ -225,9 +197,9 @@ class TestValidateBench:
         bad["suites"]["qps"]["rows"] = [
             r
             for r in bad["suites"]["qps"]["rows"]
-            if r["method"] != "mbi-parallel-batched"
+            if r["method"] != "mbi-sequential"
         ]
-        with pytest.raises(ValueError, match="mbi-parallel-batched"):
+        with pytest.raises(ValueError, match="mbi-sequential"):
             validate_bench(bad)
 
     def test_rejects_missing_recall_column(self, payload):

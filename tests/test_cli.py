@@ -211,13 +211,6 @@ class TestServiceCommands:
         assert args.fsync == "always"
         assert args.max_queue == 1024
         assert args.timeout is None
-        assert args.search_workers is None
-
-    def test_serve_parser_accepts_search_workers(self):
-        args = build_parser().parse_args(
-            ["serve", "--data-dir", "/tmp/x", "--search-workers", "4"]
-        )
-        assert args.search_workers == 4
 
     def test_service_commands_require_data_dir(self, capsys):
         with pytest.raises(SystemExit):
@@ -253,16 +246,13 @@ class TestErrors:
         out = tmp_path / "bench.json"
         assert main(["bench", "--smoke", "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
-        assert "sequential vs parallel" in stdout
+        assert "qps (shared-window batch throughput)" in stdout
         payload = json.loads(out.read_text())
         from benchmarks.harness import validate_bench
 
         validate_bench(payload)
-        modes = {
-            row["mode"]
-            for row in payload["suites"]["sequential_vs_parallel"]["rows"]
-        }
-        assert modes == {"sequential", "parallel"}
+        methods = {row["method"] for row in payload["suites"]["qps"]["rows"]}
+        assert methods == {"mbi-sequential", "bsbf"}
 
 
 class TestChaos:

@@ -117,6 +117,18 @@ class TestQueryValidation:
         with pytest.raises(InvalidQueryError):
             index.search(np.zeros(9), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_raises(self, bad):
+        index = make_index(n=40)
+        query = np.zeros(8)
+        query[3] = bad
+        with pytest.raises(InvalidQueryError, match="non-finite"):
+            index.search(query, 5)
+        with pytest.raises(InvalidQueryError, match="non-finite"):
+            index.search(query, 5, t_start=1.0, t_end=4.0)  # brute window
+        with pytest.raises(InvalidQueryError, match="non-finite"):
+            index.search_batch(np.stack([np.zeros(8), query]), 5)
+
     def test_inverted_window_raises(self):
         index = make_index(n=4)
         with pytest.raises(InvalidQueryError):

@@ -63,6 +63,33 @@ class TestRoundTrip:
         np.testing.assert_array_equal(original.positions, reloaded.positions)
         np.testing.assert_allclose(original.distances, reloaded.distances)
 
+    def test_snapshot_with_removed_query_pool_keys_loads(self, tmp_path):
+        """Snapshots may carry the keys of the removed query thread pool."""
+        import json
+
+        index = build_index()
+        path = save_index(index, tmp_path / "old")
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        header = json.loads(bytes(arrays["header"]).decode())
+        assert "query_parallel" not in header["config"]
+        header["config"].update(
+            query_parallel=True, query_workers=3, parallel_min_blocks=2
+        )
+        arrays["header"] = np.frombuffer(
+            json.dumps(header).encode(), dtype=np.uint8
+        )
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+        loaded = load_index(path)
+        assert loaded.config == index.config
+        query = np.random.default_rng(1).standard_normal(8)
+        for t0, t1 in ((10.0, 70.0), (0.0, 80.0), (33.0, 41.0)):
+            want = index.search(query, 5, t0, t1, rng=np.random.default_rng(7))
+            got = loaded.search(query, 5, t0, t1, rng=np.random.default_rng(7))
+            np.testing.assert_array_equal(got.positions, want.positions)
+            assert got.distances.tobytes() == want.distances.tobytes()
+
     def test_inserts_continue_after_reload(self, tmp_path):
         index = build_index(n=20, leaf_size=16)  # open leaf has 4 slots used
         path = save_index(index, tmp_path / "snap")

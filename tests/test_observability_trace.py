@@ -143,25 +143,6 @@ class TestBatchTraceSink:
                 int(p) for p in result.positions
             )
 
-    def test_parallel_batch_traces_match_sequential(
-        self, traced_index, clustered_data
-    ):
-        _, _, queries = clustered_data
-        seq_sink: list[QueryTrace] = []
-        par_sink: list[QueryTrace] = []
-        traced_index.search_batch(
-            queries[:6], 5, 10.0, 90.0,
-            rng=np.random.default_rng(5), trace_sink=seq_sink,
-        )
-        traced_index.search_batch(
-            queries[:6], 5, 10.0, 90.0,
-            rng=np.random.default_rng(5), trace_sink=par_sink,
-            max_workers=3,
-        )
-        assert [t.signature() for t in seq_sink] == [
-            t.signature() for t in par_sink
-        ]
-
 
 class TestSummaries:
     def test_summarize_traces_aggregates(self, traced_index, clustered_data):

@@ -5,7 +5,8 @@ The counting convention (see ``repro/core/results.py``) only works if
 counters, per-query counters, and batch counters must all agree no matter
 how partial stats are grouped.  Hypothesis checks the algebra directly;
 a seeded MBI workload checks that ``search_batch`` really is the merge of
-its per-query ``search`` calls.
+its per-query ``search`` calls — all-hot, tiered, and tiered with
+compressed cold codes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from repro import MultiLevelBlockIndex
 from repro.core.results import QueryStats
 
-from .conftest import small_mbi_config
+from .conftest import small_mbi_config, tiered_twins
 
 counters = st.integers(min_value=0, max_value=2**31)
 
@@ -91,13 +92,26 @@ class TestBatchIsMergeOfSearches:
         index.extend(vectors, timestamps)
         return index
 
+    @pytest.fixture(scope="class")
+    def variants(self, built_index, clustered_data, tmp_path_factory):
+        """The index all-hot, tiered, and tiered with cold codes."""
+        vectors, timestamps, _ = clustered_data
+        twins = tiered_twins(
+            vectors, timestamps, tmp_path_factory.mktemp("tiers")
+        )
+        return {"all-hot": built_index, **twins}
+
     @settings(deadline=None, max_examples=10)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_batch_stats_match_per_query_merge(
-        self, built_index, clustered_data, seed
+        self, variants, clustered_data, seed
     ):
         _, _, queries = clustered_data
-        batch = queries[:5]
+        for built_index in variants.values():
+            self._check_batch_is_merge(built_index, queries[:5], seed)
+
+    @staticmethod
+    def _check_batch_is_merge(built_index, batch, seed):
         rng = np.random.default_rng(seed)
         results = built_index.search_batch(batch, 5, 10.0, 90.0, rng=rng)
 
@@ -116,6 +130,7 @@ class TestBatchIsMergeOfSearches:
             np.testing.assert_array_equal(
                 single.positions, results[i].positions
             )
+            assert single.distances.tobytes() == results[i].distances.tobytes()
             merged_batch = merged_batch.merged_with(results[i].stats)
             merged_single = merged_single.merged_with(single.stats)
         assert merged_batch == merged_single
@@ -125,16 +140,3 @@ class TestBatchIsMergeOfSearches:
         assert merged_batch.distance_evaluations == sum(
             r.stats.distance_evaluations for r in results
         )
-
-    def test_parallel_batch_stats_equal_sequential(
-        self, built_index, clustered_data
-    ):
-        _, _, queries = clustered_data
-        seq = built_index.search_batch(
-            queries[:6], 5, 10.0, 90.0, rng=np.random.default_rng(9)
-        )
-        par = built_index.search_batch(
-            queries[:6], 5, 10.0, 90.0,
-            rng=np.random.default_rng(9), max_workers=3,
-        )
-        assert [r.stats for r in seq] == [r.stats for r in par]

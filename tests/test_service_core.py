@@ -143,6 +143,17 @@ class TestQueries:
         with pytest.raises(InvalidQueryError):
             service.submit(np.zeros(DIM), k=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, service, bad):
+        feed(service, 40)
+        query = np.zeros(DIM)
+        query[0] = bad
+        with pytest.raises(InvalidQueryError, match="non-finite"):
+            service.search(query, k=5)
+        with pytest.raises(InvalidQueryError, match="non-finite"):
+            service.submit(query, k=5)
+        assert service.pending_queries == 0
+
     def test_expired_deadline_raises(self, service):
         feed(service, 10)
         # A deadline that has passed before the worker can dequeue it.

@@ -136,6 +136,21 @@ class TestEndpoints:
             post(base + "/query", {"query": [0.0] * (DIM + 2), "k": 3})
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "extra",
+        [{}, {"seed": 3}, {"t_start": 10.0, "t_end": 14.0}],
+        ids=["admitted", "seeded", "brute-window"],
+    )
+    def test_non_finite_query_is_400(self, served, bad, extra):
+        _, base = served
+        payload = {"query": [bad] + [0.0] * (DIM - 1), "k": 5, **extra}
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(base + "/query", payload)  # json.dumps emits NaN/Infinity
+        assert excinfo.value.code == 400
+        body = json.loads(excinfo.value.read())
+        assert "non-finite" in body["error"]
+
     def test_unknown_path_is_404(self, served):
         _, base = served
         with pytest.raises(urllib.error.HTTPError) as excinfo:
